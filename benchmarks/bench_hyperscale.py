@@ -1,18 +1,10 @@
-"""Benchmark the hyperscale path: event lanes and the vectorised engine.
+"""Benchmark the vectorised hyperscale engine at full scale.
 
-Two measurements, recorded in ``BENCH_hyperscale.json``:
+Recorded in ``BENCH_hyperscale.json``: the 1000-node / 100k-rps / 24-h
+:class:`~repro.hyperscale.HyperscaleConfig` run with auditing on, which
+must finish inside the 10-minute budget.
 
-- *steady_state_lane*: a Simulator run whose steady-state timers live in
-  one numpy :class:`~repro.simulation.lanes.EventLane` instead of the
-  heap. The ISSUE's acceptance bar is >= 10x the seed's serial dispatch
-  rate (54k events/sec -> floor 540k lane entries/sec); the asserted
-  floor sits there deliberately even though the lane typically clears
-  tens of millions per second, because shared CI runners are noisy.
-- *engine_full_scale*: the 1000-node / 100k-rps / 24-h
-  :class:`~repro.hyperscale.HyperscaleConfig` run with auditing on,
-  which must finish inside the 10-minute budget.
-
-As with the other benches, the floors are conservative; the recorded
+As with the other benches, the budget is conservative; the recorded
 values are the real signal across commits.
 """
 
@@ -20,43 +12,13 @@ import json
 import pathlib
 import time
 
-import numpy as np
-
 from repro.hyperscale import HyperscaleConfig, run_hyperscale
-from repro.simulation.simulator import Simulator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_hyperscale.json"
 
-#: Steady-state lane entries in the lane benchmark.
-N_LANE_EVENTS = 2_000_000
-
-#: Floor: 10x the seed's 54k events/sec serial dispatch rate.
-MIN_LANE_RATE = 540_000
-
 #: Wall-clock budget (seconds) for the full-scale engine run.
 MAX_FULL_SCALE_SECONDS = 600.0
-
-
-def _bench_steady_state_lane():
-    sim = Simulator(seed=0)
-    times = np.arange(1, N_LANE_EVENTS + 1, dtype=np.float64) * 1e-3
-    state = {"entries": 0, "chunks": 0}
-
-    def on_chunk(chunk):
-        state["entries"] += chunk.size
-        state["chunks"] += 1
-
-    sim.add_lane(times, on_chunk, label="steady-state timers")
-    # A sprinkling of heap events so the run exercises the interleaved
-    # loop (chunk boundaries at every heap timestamp), not a single take.
-    for k in range(1, 101):
-        sim.after(k * (N_LANE_EVENTS * 1e-3) / 100, lambda: None)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    assert state["entries"] == N_LANE_EVENTS
-    return state["entries"], state["chunks"], elapsed
 
 
 def _bench_engine_full_scale():
@@ -68,14 +30,9 @@ def _bench_engine_full_scale():
 
 
 def test_hyperscale_throughput():
-    entries, chunks, lane_s = _bench_steady_state_lane()
     report, engine_s = _bench_engine_full_scale()
-    lane_rate = entries / lane_s
     payload = {
         "benchmark": "hyperscale",
-        "lane_events": entries,
-        "lane_chunks": chunks,
-        "lane_events_per_sec": round(lane_rate),
         "full_scale_nodes": report.n_nodes,
         "full_scale_arrivals": report.total_arrivals,
         "full_scale_seconds": round(engine_s, 2),
@@ -85,5 +42,4 @@ def test_hyperscale_throughput():
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\n{json.dumps(payload, indent=2)}\n[saved to {BENCH_PATH}]")
 
-    assert lane_rate > MIN_LANE_RATE
     assert engine_s < MAX_FULL_SCALE_SECONDS

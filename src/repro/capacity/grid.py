@@ -31,7 +31,6 @@ from typing import Mapping
 
 from repro.capacity.fleet import (
     Fleet,
-    canonical_fleet,
     fleet_key,
     fleet_nodes,
     gpu_class,
@@ -42,6 +41,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.schemes import canonical_name
 from repro.capacity.spec import WorkloadSpec
+from repro.wire import parse_payload
 
 #: Default cluster sizes searched when the caller does not narrow them.
 DEFAULT_NODE_COUNTS = (2, 4, 6, 8, 12)
@@ -425,24 +425,7 @@ class CandidateGrid:
     @classmethod
     def from_dict(cls, payload: dict) -> "CandidateGrid":
         """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"grid payload must be a dict, got {type(payload).__name__}"
-            )
-        known = {
-            "n_nodes",
-            "procurement",
-            "schemes",
-            "knobs",
-            "gpu_classes",
-            "class_counts",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown grid field(s): {', '.join(sorted(unknown))}"
-            )
-        data = dict(payload)
+        data = parse_payload(cls, payload, "grid")
         for field_name in ("n_nodes", "procurement", "schemes",
                            "gpu_classes", "class_counts"):
             if field_name in data:
@@ -452,10 +435,6 @@ class CandidateGrid:
                 name: tuple(values) for name, values in data["knobs"].items()
             }
         return cls(**data)
-
-
-def _mixed_fleet(fleet: Mapping[str, int]) -> Fleet:
-    return canonical_fleet(fleet)
 
 
 #: Named grids for ``python -m repro plan --grid <preset>``.

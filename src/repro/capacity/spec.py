@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.wire import parse_payload
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,7 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "WorkloadSpec":
         """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"workload payload must be a dict, got {type(payload).__name__}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown workload field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**payload)
+        return cls(**parse_payload(cls, payload, "workload"))
 
 
 #: Named workload presets for ``python -m repro plan <workload>``.

@@ -181,13 +181,16 @@ _TRACE_PRESETS: dict[str, dict] = {
 }
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.observability.export import (
-        text_summary,
-        write_chrome_trace,
-        write_span_jsonl,
-    )
+def _preset_config(
+    args: argparse.Namespace, **fields
+) -> tuple[str, ExperimentConfig] | None:
+    """Resolve a ``trace``/``faults``/``audit`` experiment preset.
 
+    Applies ``--full``/``--duration``/``--warmup``/``--nodes``/``--seed``
+    and ``fields`` on top of the preset and returns the normalised preset
+    name with its config, or ``None`` (after reporting) when the preset
+    is unknown.
+    """
     experiment = args.experiment.lower().replace("fig0", "fig")
     overrides = _TRACE_PRESETS.get(experiment)
     if overrides is None:
@@ -196,7 +199,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"known: {', '.join(sorted(_TRACE_PRESETS))}",
             file=sys.stderr,
         )
-        return 2
+        return None
     duration, warmup = (240.0, 60.0) if args.full else (60.0, 20.0)
     if args.duration is not None:
         duration = args.duration
@@ -207,10 +210,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         duration=duration,
         warmup=warmup,
-        tracing=True,
         seed=args.seed,
+        **fields,
         **overrides,
     )
+    return experiment, config
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.observability.export import (
+        text_summary,
+        write_chrome_trace,
+        write_span_jsonl,
+    )
+
+    resolved = _preset_config(args, tracing=True)
+    if resolved is None:
+        return 2
+    _, config = resolved
     # Detach before exporting: the exporters run against the same
     # DetachedTrace surface the parallel layer ships between processes.
     result = run_scheme(args.scheme, config).detach()
@@ -232,33 +249,16 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, check_recovery, demo_plan
     from repro.observability.export import write_chrome_trace
 
-    experiment = args.experiment.lower().replace("fig0", "fig")
-    overrides = _TRACE_PRESETS.get(experiment)
-    if overrides is None:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {', '.join(sorted(_TRACE_PRESETS))}",
-            file=sys.stderr,
-        )
+    resolved = _preset_config(args, tracing=True)
+    if resolved is None:
         return 2
-    duration, warmup = (240.0, 60.0) if args.full else (60.0, 20.0)
-    if args.duration is not None:
-        duration = args.duration
-    if args.warmup is not None:
-        warmup = args.warmup
-    if args.nodes is not None:
-        overrides = {**overrides, "n_nodes": args.nodes}
+    _, config = resolved
     plan = (
-        FaultPlan.from_json(args.plan) if args.plan else demo_plan(duration)
+        FaultPlan.from_json(args.plan)
+        if args.plan
+        else demo_plan(config.duration)
     )
-    config = ExperimentConfig(
-        duration=duration,
-        warmup=warmup,
-        tracing=True,
-        seed=args.seed,
-        fault_plan=plan,
-        **overrides,
-    )
+    config = config.with_overrides(fault_plan=plan)
     result = run_scheme(args.scheme, config)
     sla = args.sla if args.sla is not None else config.provision_seconds + 0.5
     report = check_recovery(result.tracer.spans, sla_seconds=sla)
@@ -276,27 +276,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, demo_plan
 
-    experiment = args.experiment.lower().replace("fig0", "fig")
-    overrides = _TRACE_PRESETS.get(experiment)
-    if overrides is None:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            f"known: {', '.join(sorted(_TRACE_PRESETS))}",
-            file=sys.stderr,
-        )
+    resolved = _preset_config(args, audit=True)
+    if resolved is None:
         return 2
-    duration, warmup = (240.0, 60.0) if args.full else (60.0, 20.0)
-    if args.duration is not None:
-        duration = args.duration
-    if args.warmup is not None:
-        warmup = args.warmup
-    if args.nodes is not None:
-        overrides = {**overrides, "n_nodes": args.nodes}
+    experiment, config = resolved
     plan = None
     if args.plan:
         plan = FaultPlan.from_json(args.plan)
     elif args.fault_demo:
-        plan = demo_plan(duration)
+        plan = demo_plan(config.duration)
     try:
         schemes = [
             canonical_name(name)
@@ -305,14 +293,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    config = ExperimentConfig(
-        duration=duration,
-        warmup=warmup,
-        seed=args.seed,
-        audit=True,
-        fault_plan=plan,
-        **overrides,
-    )
+    config = config.with_overrides(fault_plan=plan)
     results = run_comparison(schemes, config, jobs=_cli_jobs(args))
     rows = []
     violations = 0
@@ -452,45 +433,16 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0 if report.recommended is not None else 1
 
 
-def _cmd_tenants(args: argparse.Namespace) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
 
-    from repro.tenancy.scenarios import run_tenancy_scenario
+    from repro import scenarios
 
     try:
-        scheme = canonical_name(args.scheme)
-        result = run_tenancy_scenario(
+        result = scenarios.run_scenario(
+            args.command,
             args.scenario,
-            scheme=scheme,
-            seed=args.seed,
-            jobs=_cli_jobs(args),
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.json is not None:
-        payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote {args.json}")
-    else:
-        print(result.describe())
-    return 0
-
-
-def _cmd_pipelines(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.pipelines.scenarios import run_pipeline_scenario
-
-    try:
-        scheme = canonical_name(args.scheme)
-        result = run_pipeline_scenario(
-            args.scenario,
-            scheme=scheme,
+            scheme=canonical_name(args.scheme),
             seed=args.seed,
             jobs=_cli_jobs(args),
         )
@@ -665,51 +617,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(everything)
     everything.set_defaults(func=_cmd_reproduce_all)
 
-    from repro.tenancy.scenarios import SCENARIOS
+    from repro.scenarios import scenario_families
 
-    tenants = sub.add_parser(
-        "tenants",
-        help="run a multi-tenant scenario (noisy-neighbour, flash-crowd, "
-        "quota-exhaustion)",
-    )
-    tenants.add_argument("scenario", choices=list(SCENARIOS))
-    tenants.add_argument(
-        "--scheme", default="protean", choices=sorted(scheme_names())
-    )
-    tenants.add_argument("--seed", type=int, default=0)
-    tenants.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit JSON (to PATH, or stdout when no path given)",
-    )
-    _add_jobs_arg(tenants)
-    tenants.set_defaults(func=_cmd_tenants)
-
-    from repro.pipelines.scenarios import SCENARIOS as PIPELINE_SCENARIOS
-
-    pipelines = sub.add_parser(
-        "pipelines",
-        help="run a multi-stage workflow scenario (chain, ensemble, "
-        "branchy), comparing naive vs pipeline-aware deadline splitting",
-    )
-    pipelines.add_argument("scenario", choices=list(PIPELINE_SCENARIOS))
-    pipelines.add_argument(
-        "--scheme", default="protean", choices=sorted(scheme_names())
-    )
-    pipelines.add_argument("--seed", type=int, default=0)
-    pipelines.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit JSON (to PATH, or stdout when no path given)",
-    )
-    _add_jobs_arg(pipelines)
-    pipelines.set_defaults(func=_cmd_pipelines)
+    for command, family in scenario_families().items():
+        scenario = sub.add_parser(command, help=family.help)
+        scenario.add_argument("scenario", choices=list(family.scenarios))
+        scenario.add_argument(
+            "--scheme", default="protean", choices=sorted(scheme_names())
+        )
+        scenario.add_argument("--seed", type=int, default=0)
+        scenario.add_argument(
+            "--json",
+            nargs="?",
+            const="-",
+            default=None,
+            metavar="PATH",
+            help="emit JSON (to PATH, or stdout when no path given)",
+        )
+        _add_jobs_arg(scenario)
+        scenario.set_defaults(func=_cmd_scenario)
 
     hyper = sub.add_parser(
         "hyperscale",

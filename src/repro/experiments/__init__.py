@@ -33,7 +33,6 @@ from repro.experiments.schemes import (
     available_schemes,
     canonical_name,
     get_scheme,
-    make_scheme,
     register_scheme,
     scheme_names,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "build_specs",
     "canonical_name",
     "get_scheme",
-    "make_scheme",
     "make_variant",
     "register_scheme",
     "run_ablation",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.wire import parse_payload
 from repro.faults.plan import FaultPlan
 from repro.pipelines.model import PipelineSpec
 from repro.tenancy.model import TenancySpec
@@ -264,23 +265,9 @@ class ExperimentConfig:
         payloads from a *newer* schema are refused rather than silently
         misread.
         """
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"config payload must be a dict, got {type(payload).__name__}"
-            )
-        data = dict(payload)
-        version = data.pop("version", CONFIG_SCHEMA_VERSION)
-        if version != CONFIG_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported config schema version {version!r}; "
-                f"this build reads version {CONFIG_SCHEMA_VERSION}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown config field(s): {', '.join(sorted(unknown))}"
-            )
+        data = parse_payload(
+            cls, payload, "config", version=CONFIG_SCHEMA_VERSION
+        )
         if data.get("be_pool") is not None:
             data["be_pool"] = tuple(data["be_pool"])
         if data.get("fault_plan") is not None:

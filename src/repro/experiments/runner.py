@@ -23,13 +23,11 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.schemes import get_scheme
 from repro.faults.injector import FaultInjector
-from repro.metrics.breakdown import tail_breakdown
-from repro.metrics.latency import latency_cdf, p50, p99
+from repro.metrics.latency import latency_cdf
 from repro.metrics.pipelines import PipelineReport, pipeline_report
 from repro.metrics.records import RecordCollector, RequestRecord
-from repro.metrics.slo import slo_compliance
 from repro.metrics.streaming import StreamingCollector
-from repro.metrics.summary import RunSummary, partition_window
+from repro.metrics.summary import RecordWindow, RunSummary
 from repro.metrics.tenancy import TenancyReport, tenancy_report
 from repro.observability.span import CATEGORY_RUN
 from repro.observability.telemetry import TelemetrySampler
@@ -39,9 +37,7 @@ from repro.pipelines.runtime import PipelineRuntime
 from repro.pipelines.workload import PipelineWorkload
 from repro.metrics.throughput import (
     cluster_utilization,
-    strict_throughput_per_gpu,
     throughput_per_gpu_from_counts,
-    total_throughput_per_gpu,
 )
 from repro.serverless.platform import PlatformConfig, ServerlessPlatform
 from repro.serverless.scheme import Scheme
@@ -141,23 +137,30 @@ def build_specs(config: ExperimentConfig) -> list[RequestSpec]:
     With ``config.pipelines`` set the stream holds only *root* stage
     requests (one per workflow arrival); downstream stages are released
     live by the :class:`~repro.pipelines.runtime.PipelineRuntime` as
-    their parents complete, so they cannot be pre-generated here.
+    their parents complete, so they cannot be pre-generated here. Their
+    arrival rate is *per workflow*: ``offered_load`` is converted through
+    the pipeline's total per-workflow work (every stage, batch-amortised)
+    so a chain offers the same solo-7g work per GPU-second as the
+    equivalent single-stage run. ``batched_arrivals`` is not applied
+    there — batch collapse rewrites specs without workflow lineage, and
+    workflow arrivals are individual by nature (each is its own DAG
+    instance).
     """
-    if config.pipelines is not None:
-        return _build_pipeline_specs(config)
     rng = np.random.default_rng(config.seed)
-    rate = config.request_rate()
-    if config.trace == "constant":
-        trace = constant_trace(rate, config.duration)
-    elif config.trace == "wiki":
-        trace = wiki_trace(config.duration, rng, mean_rate=rate)
-    elif config.trace == "twitter":
-        # The paper scales Twitter so its *peak* hits the target rate
-        # (the mean then lands ~35% lower, Section 6.2).
-        trace = twitter_trace(config.duration, rng, peak_rate=rate)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigurationError(f"unknown trace {config.trace!r}")
-    arrivals = arrival_times(trace, rng)
+    if config.pipelines is not None:
+        workload = PipelineWorkload(
+            config.pipelines,
+            scale=config.scale,
+            slo_multiplier=config.slo_multiplier,
+            strict_fraction=config.strict_fraction,
+        )
+        if config.rate is not None:
+            rate = config.rate * config.scale
+        else:
+            rate = workload.workflow_rate(config.offered_load, config.n_nodes)
+        arrivals = arrival_times(_trace(config, rate, rng), rng)
+        return workload.root_specs(arrivals, rng)
+    arrivals = arrival_times(_trace(config, config.request_rate(), rng), rng)
     mix = MixSpec(
         strict_model=config.strict_profile(),
         be_pool=config.be_profiles() if config.strict_fraction < 1.0 else (),
@@ -177,39 +180,18 @@ def build_specs(config: ExperimentConfig) -> list[RequestSpec]:
     return specs
 
 
-def _build_pipeline_specs(config: ExperimentConfig) -> list[RequestSpec]:
-    """Root-stage request stream for a pipeline run.
-
-    Arrival shaping reuses the standard traces, but the rate is *per
-    workflow*: ``offered_load`` is converted through the pipeline's total
-    per-workflow work (every stage, batch-amortised) so a chain offers
-    the same solo-7g work per GPU-second as the equivalent single-stage
-    run. ``batched_arrivals`` is not applied — batch collapse rewrites
-    specs without workflow lineage, and workflow arrivals are individual
-    by nature (each is its own DAG instance).
-    """
-    assert config.pipelines is not None
-    rng = np.random.default_rng(config.seed)
-    workload = PipelineWorkload(
-        config.pipelines,
-        scale=config.scale,
-        slo_multiplier=config.slo_multiplier,
-        strict_fraction=config.strict_fraction,
-    )
-    if config.rate is not None:
-        rate = config.rate * config.scale
-    else:
-        rate = workload.workflow_rate(config.offered_load, config.n_nodes)
+def _trace(config: ExperimentConfig, rate: float, rng: np.random.Generator):
+    """The run's arrival-rate curve at mean (peak, for Twitter) ``rate``."""
     if config.trace == "constant":
-        trace = constant_trace(rate, config.duration)
-    elif config.trace == "wiki":
-        trace = wiki_trace(config.duration, rng, mean_rate=rate)
-    elif config.trace == "twitter":
-        trace = twitter_trace(config.duration, rng, peak_rate=rate)
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigurationError(f"unknown trace {config.trace!r}")
-    arrivals = arrival_times(trace, rng)
-    return workload.root_specs(arrivals, rng)
+        return constant_trace(rate, config.duration)
+    if config.trace == "wiki":
+        return wiki_trace(config.duration, rng, mean_rate=rate)
+    if config.trace == "twitter":
+        # The paper scales Twitter so its *peak* hits the target rate
+        # (the mean then lands ~35% lower, Section 6.2).
+        return twitter_trace(config.duration, rng, peak_rate=rate)
+    # Unreachable: config validation rejects unknown traces.
+    raise ConfigurationError(f"unknown trace {config.trace!r}")  # pragma: no cover
 
 
 def build_oracle_plan(
@@ -545,40 +527,37 @@ def _summarize(
     )
     window = window_end - window_start
     meter = platform.meter
-    if isinstance(platform.collector, StreamingCollector):
-        return _summarize_streaming(
-            scheme_name,
-            config,
-            platform,
-            procurement,
-            utilization,
-            expected_strict=expected_strict,
-            window=window,
-        )
-    # Throughput counts requests that both arrived and completed inside
-    # the window: an overloaded scheme's completions lag its arrivals
-    # (Figure 10a's differentiation), while backlog drained from before
-    # the window does not inflate the figure.
-    measured, strict, best_effort, completed_in_window = partition_window(
-        list(platform.collector.records), window_start, window_end
+    # Both collectors answer through one surface: the streaming one from
+    # running counters and sketches (bounds in docs/hyperscale.md), the
+    # record one exactly over the window's records. Throughput counts
+    # requests that both arrived and completed inside the window: an
+    # overloaded scheme's completions lag its arrivals (Figure 10a's
+    # differentiation), while backlog drained from before the window does
+    # not inflate the figure.
+    collector = platform.collector
+    streaming = isinstance(collector, StreamingCollector)
+    stats = (
+        collector
+        if streaming
+        else RecordWindow(collector.records, window_start, window_end)
     )
-    dropped_strict = max(0, expected_strict - len(strict))
+    dropped_strict = max(0, expected_strict - stats.strict_count)
     summary = RunSummary(
         scheme=scheme_name,
         strict_model=config.strict_model,
-        requests_served=len(measured),
-        strict_requests=len(strict),
-        slo_compliance=slo_compliance(strict, dropped_strict=dropped_strict),
-        strict_p50=p50(strict),
-        strict_p99=p99(strict),
-        be_p50=p50(best_effort),
-        be_p99=p99(best_effort),
-        tail_breakdown=tail_breakdown(strict),
-        strict_throughput_per_gpu=strict_throughput_per_gpu(
-            completed_in_window, config.n_nodes, window
+        requests_served=stats.measured_count,
+        strict_requests=stats.strict_count,
+        slo_compliance=stats.slo_compliance(dropped_strict=dropped_strict),
+        strict_p50=stats.strict_percentile(50),
+        strict_p99=stats.strict_percentile(99),
+        be_p50=stats.be_percentile(50),
+        be_p99=stats.be_percentile(99),
+        tail_breakdown=stats.tail_breakdown(),
+        strict_throughput_per_gpu=throughput_per_gpu_from_counts(
+            stats.completed_strict_in_window, config.n_nodes, window
         ),
-        total_throughput_per_gpu=total_throughput_per_gpu(
-            completed_in_window, config.n_nodes, window
+        total_throughput_per_gpu=throughput_per_gpu_from_counts(
+            stats.completed_in_window, config.n_nodes, window
         ),
         gpu_busy_fraction=utilization.gpu_busy_fraction,
         gpu_any_busy_fraction=utilization.gpu_any_busy_fraction,
@@ -588,20 +567,7 @@ def _summarize(
         cost_savings_fraction=meter.savings_fraction,
         dropped_requests=dropped_strict,
     )
-    extras = _runner_extras(platform, procurement)
-    return ExperimentResult(
-        scheme=scheme_name,
-        config=config,
-        summary=summary,
-        collector=platform.collector,
-        measured=measured,
-        extras=extras,
-        platform=platform,
-    )
-
-
-def _runner_extras(platform: ServerlessPlatform, procurement: Procurement) -> dict:
-    return {
+    extras = {
         "spot_nodes_built": procurement.spot_nodes_built,
         "on_demand_nodes_built": procurement.on_demand_nodes_built,
         "evictions": procurement.market.evictions,
@@ -611,63 +577,16 @@ def _runner_extras(platform: ServerlessPlatform, procurement: Procurement) -> di
         "cold_starts": platform.total_cold_starts(),
         "nodes_at_end": len(platform.cluster),
     }
-
-
-def _summarize_streaming(
-    scheme_name: str,
-    config: ExperimentConfig,
-    platform: ServerlessPlatform,
-    procurement: Procurement,
-    utilization,
-    *,
-    expected_strict: int,
-    window: float,
-) -> ExperimentResult:
-    """Streaming twin of the record-based summary below.
-
-    Counters, SLO compliance, throughput, and cost match the record path
-    exactly; percentiles and the tail breakdown come from the collector's
-    sketches with the bounds documented in ``docs/hyperscale.md``. The
-    result carries no measured records (``measured == []``) — streaming
-    mode exists precisely so they are never materialised.
-    """
-    collector = platform.collector
-    assert isinstance(collector, StreamingCollector)
-    dropped_strict = max(0, expected_strict - collector.strict_count)
-    meter = platform.meter
-    summary = RunSummary(
-        scheme=scheme_name,
-        strict_model=config.strict_model,
-        requests_served=collector.measured_count,
-        strict_requests=collector.strict_count,
-        slo_compliance=collector.slo_compliance(dropped_strict=dropped_strict),
-        strict_p50=collector.strict_percentile(50),
-        strict_p99=collector.strict_percentile(99),
-        be_p50=collector.be_percentile(50),
-        be_p99=collector.be_percentile(99),
-        tail_breakdown=collector.tail_breakdown(),
-        strict_throughput_per_gpu=throughput_per_gpu_from_counts(
-            collector.completed_strict_in_window, config.n_nodes, window
-        ),
-        total_throughput_per_gpu=throughput_per_gpu_from_counts(
-            collector.completed_in_window, config.n_nodes, window
-        ),
-        gpu_busy_fraction=utilization.gpu_busy_fraction,
-        gpu_any_busy_fraction=utilization.gpu_any_busy_fraction,
-        memory_fraction=utilization.memory_fraction,
-        reconfigurations=utilization.reconfigurations,
-        total_cost=meter.total_cost,
-        cost_savings_fraction=meter.savings_fraction,
-        dropped_requests=dropped_strict,
-    )
-    extras = _runner_extras(platform, procurement)
-    extras["streaming_metrics"] = True
+    if streaming:
+        # No measured records: streaming mode exists so they are never
+        # materialised.
+        extras["streaming_metrics"] = True
     return ExperimentResult(
         scheme=scheme_name,
         config=config,
         summary=summary,
         collector=collector,
-        measured=[],
+        measured=[] if streaming else stats.measured,
         extras=extras,
         platform=platform,
     )

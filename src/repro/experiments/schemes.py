@@ -116,9 +116,6 @@ def get_scheme(name: str, *, oracle_plan: GeometryPlan | None = None) -> Scheme:
     return factory()
 
 
-#: Back-compat name for :func:`get_scheme` (pre-registry API).
-make_scheme = get_scheme
-
 #: Canonical scheme order used by comparison figures.
 COMPARISON_SCHEMES = ("molecule", "naive_slicing", "infless_llama", "protean")
 

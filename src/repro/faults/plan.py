@@ -29,6 +29,7 @@ from enum import Enum
 from pathlib import Path
 
 from repro.errors import FaultPlanError
+from repro.wire import parse_payload
 
 
 class FaultKind(str, Enum):
@@ -137,18 +138,9 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultSpec":
         """Parse one fault entry, rejecting unknown keys early."""
+        parse_payload(cls, payload, "fault", error=FaultPlanError)
         if "kind" not in payload or "at" not in payload:
             raise FaultPlanError(f"fault entry needs 'kind' and 'at': {payload}")
-        known = {
-            "kind", "at", "duration", "target", "multiplier",
-            "delay_seconds", "jitter_seconds", "failure_probability",
-            "retry_seconds",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise FaultPlanError(
-                f"unknown fault field(s) {sorted(unknown)} in {payload}"
-            )
         try:
             kind = FaultKind(payload["kind"])
         except ValueError as exc:
@@ -190,7 +182,9 @@ class FaultPlan:
     def from_dict(cls, payload: dict | list) -> "FaultPlan":
         """Parse ``{"faults": [...]}`` or a bare list of fault entries."""
         if isinstance(payload, dict):
-            entries = payload.get("faults")
+            entries = parse_payload(
+                cls, payload, "fault plan", error=FaultPlanError
+            ).get("faults")
             if entries is None:
                 raise FaultPlanError("fault plan object needs a 'faults' list")
         else:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from repro.errors import ConfigurationError
+from repro.wire import parse_payload
 
 #: Version stamp of the :meth:`HyperscaleConfig.to_dict` wire format.
 HYPERSCALE_SCHEMA_VERSION = 1
@@ -149,22 +150,9 @@ class HyperscaleConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "HyperscaleConfig":
         """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"config payload must be a dict, got {type(payload).__name__}"
+        return cls(
+            **parse_payload(
+                cls, payload, "hyperscale config",
+                version=HYPERSCALE_SCHEMA_VERSION,
             )
-        data = dict(payload)
-        version = data.pop("version", HYPERSCALE_SCHEMA_VERSION)
-        if version != HYPERSCALE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported hyperscale schema version {version!r}; "
-                f"this build reads version {HYPERSCALE_SCHEMA_VERSION}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown hyperscale config field(s): "
-                f"{', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
+        )

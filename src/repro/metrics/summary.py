@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from repro.metrics.breakdown import LatencyBreakdown
+from repro.metrics.breakdown import LatencyBreakdown, tail_breakdown
+from repro.metrics.latency import percentile
 from repro.metrics.records import RequestRecord
+from repro.metrics.slo import slo_compliance
 
 
 @dataclass(frozen=True)
@@ -119,3 +122,38 @@ def partition_window(
         if r.completion < end:
             completed.append(r)
     return measured, strict, best_effort, completed
+
+
+class RecordWindow:
+    """The records of a measured window, read like a streaming collector.
+
+    Offers the counters and report methods of
+    :class:`~repro.metrics.streaming.StreamingCollector`
+    (``measured_count``, ``strict_count``, ``completed_in_window``,
+    ``completed_strict_in_window``, ``slo_compliance``,
+    ``strict_percentile``/``be_percentile``, ``tail_breakdown``), computed
+    exactly from the records whose arrival falls in ``[start, end)``.
+    """
+
+    def __init__(
+        self, records: Sequence[RequestRecord], start: float, end: float
+    ) -> None:
+        self.measured, self.strict, self.best_effort, completed = (
+            partition_window(records, start, end)
+        )
+        self.measured_count = len(self.measured)
+        self.strict_count = len(self.strict)
+        self.completed_in_window = len(completed)
+        self.completed_strict_in_window = sum(1 for r in completed if r.strict)
+
+    def slo_compliance(self, *, dropped_strict: int = 0) -> float:
+        return slo_compliance(self.strict, dropped_strict=dropped_strict)
+
+    def strict_percentile(self, p: float) -> float:
+        return percentile([r.latency for r in self.strict], p)
+
+    def be_percentile(self, p: float) -> float:
+        return percentile([r.latency for r in self.best_effort], p)
+
+    def tail_breakdown(self, q: float = 99.0) -> LatencyBreakdown:
+        return tail_breakdown(self.strict, q)

@@ -33,8 +33,9 @@ def total_throughput_per_gpu(
 def throughput_per_gpu_from_counts(
     count: int, n_gpus: int, window_seconds: float
 ) -> float:
-    """Requests per GPU per second from a running counter (streaming
-    mode); the count-based twin of the record-iterating helpers above."""
+    """Requests per GPU per second from a request count (what the run
+    summary uses for both collectors); the count-based twin of the
+    record-iterating helpers above."""
     if n_gpus <= 0 or window_seconds <= 0:
         raise ConfigurationError("n_gpus and window_seconds must be positive")
     return count / (n_gpus * window_seconds)

@@ -25,9 +25,10 @@ with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, UnknownModelError
+from repro.wire import parse_payload
 from repro.workloads.profile import ModelProfile
 from repro.workloads.registry import get_model
 from repro.workloads.scaling import scale_model
@@ -98,17 +99,7 @@ class StageSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "StageSpec":
         """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
-        _require(
-            isinstance(payload, dict),
-            f"stage payload must be a dict, got {type(payload).__name__}",
-        )
-        data = dict(payload)
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        _require(
-            not unknown,
-            f"unknown stage field(s): {', '.join(sorted(unknown))}",
-        )
+        data = parse_payload(cls, payload, "stage")
         if data.get("parents") is not None:
             data["parents"] = tuple(data["parents"])
         return cls(**data)
@@ -246,22 +237,8 @@ class PipelineSpec:
         payloads from a *newer* schema are refused rather than silently
         misread, and unknown keys are rejected.
         """
-        _require(
-            isinstance(payload, dict),
-            f"pipeline payload must be a dict, got {type(payload).__name__}",
-        )
-        data = dict(payload)
-        version = data.pop("version", PIPELINE_SCHEMA_VERSION)
-        if version != PIPELINE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported pipeline schema version {version!r}; "
-                f"this build reads version {PIPELINE_SCHEMA_VERSION}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        _require(
-            not unknown,
-            f"unknown pipeline field(s): {', '.join(sorted(unknown))}",
+        data = parse_payload(
+            cls, payload, "pipeline", version=PIPELINE_SCHEMA_VERSION
         )
         stages = data.get("stages")
         _require(
@@ -301,10 +278,6 @@ class CompiledPipeline:
     #: Longest root-to-sink profiled-latency path — the unit the
     #: end-to-end deadline is a multiple of.
     critical_path: float
-
-    def stage_names(self) -> tuple[str, ...]:
-        """All stage names, parents-first."""
-        return self.order
 
 
 def compile_pipeline(spec: PipelineSpec, scale: float = 1.0) -> CompiledPipeline:

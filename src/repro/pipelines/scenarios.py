@@ -30,11 +30,13 @@ one branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.pipelines.model import PipelineSpec, StageSpec
+from repro.scenarios import RUN_SHAPE, ScenarioFamily, ScenarioResult, run_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily to avoid a cycle
     from repro.experiments.config import ExperimentConfig
@@ -45,16 +47,9 @@ SCENARIOS = ("chain", "ensemble", "branchy")
 #: The two arms every scenario runs (label doubles as the policy name).
 POLICY_ARMS = ("naive", "pipeline-aware")
 
-#: Shared run shape: short enough for CI, long enough for stable tails.
-#: The load sits near saturation — where deadline policy differentiates.
-_BASE = dict(
-    trace="constant",
-    duration=60.0,
-    warmup=15.0,
-    drain=90.0,
-    n_nodes=2,
-    offered_load=1.05,
-)
+#: The shared run shape at a load near saturation — where deadline
+#: policy differentiates.
+_BASE = {**RUN_SHAPE, "offered_load": 1.05}
 
 
 def chain_pipeline(policy: str = "pipeline-aware") -> PipelineSpec:
@@ -139,98 +134,24 @@ def scenario_configs(name: str, seed: int = 0) -> dict[str, ExperimentConfig]:
     }
 
 
-@dataclass
-class ScenarioResult:
-    """Outcome of one scenario: per-arm rows, pipeline reports, verdict."""
+def _describe_run(label: str, payload: dict) -> list[str]:
+    from repro.metrics.pipelines import PipelineReport, StageOutcome
 
-    name: str
-    scheme: str
-    #: Policy label → ``RunSummary.row()``.
-    rows: dict[str, dict] = field(default_factory=dict)
-    #: Policy label → :meth:`~repro.metrics.pipelines.PipelineReport.to_dict`.
-    pipelines: dict[str, dict] = field(default_factory=dict)
-    #: Headline facts: per-policy attainment, the gap, equal-cost check.
-    verdict: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (CLI ``--json``, CI artifact)."""
-        return {
-            "scenario": self.name,
-            "scheme": self.scheme,
-            "rows": self.rows,
-            "pipelines": self.pipelines,
-            "verdict": self.verdict,
-        }
-
-    def describe(self) -> str:
-        """Multi-line text rendering for the CLI."""
-        from repro.metrics.pipelines import PipelineReport, StageOutcome
-
-        lines = [f"scenario {self.name} (scheme={self.scheme})"]
-        for label, payload in self.pipelines.items():
-            report = PipelineReport(
-                pipeline=payload["pipeline"],
-                policy=payload["policy"],
-                workflows=payload["workflows"],
-                strict_workflows=payload["strict_workflows"],
-                completed=payload["completed"],
-                incomplete=payload["incomplete"],
-                e2e_attainment=payload["e2e_attainment"],
-                e2e_p50=payload["e2e_p50"],
-                e2e_p99=payload["e2e_p99"],
-                per_stage=tuple(
-                    StageOutcome(**row) for row in payload["per_stage"]
-                ),
-                stats=payload["stats"],
-            )
-            lines.append(f"  arm {label}:")
-            lines.extend("  " + line for line in report.describe().splitlines())
-        for key, value in self.verdict.items():
-            lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
+    per_stage = tuple(StageOutcome(**row) for row in payload["per_stage"])
+    report = PipelineReport(**{**payload, "per_stage": per_stage})
+    lines = [f"  arm {label}:"]
+    lines.extend("  " + line for line in report.describe().splitlines())
+    return lines
 
 
-def run_pipeline_scenario(
-    name: str,
-    *,
-    scheme: str = "protean",
-    seed: int = 0,
-    jobs: int | None = None,
-) -> ScenarioResult:
-    """Execute scenario ``name`` and assemble its :class:`ScenarioResult`.
-
-    With ``jobs`` > 1 the policy arms fan out across processes via
-    :mod:`repro.parallel` — results are bit-identical to the serial path.
-    """
-    from repro.experiments.runner import run_scheme
-    from repro.parallel import RunRequest, execute_keyed, resolve_jobs
-
-    configs = scenario_configs(name, seed)
-    if resolve_jobs(jobs) > 1 and len(configs) > 1:
-        results = execute_keyed(
-            [
-                RunRequest(key=label, scheme=scheme, config=config)
-                for label, config in configs.items()
-            ],
-            jobs=jobs,
-        )
-    else:
-        results = {
-            label: run_scheme(scheme, config)
-            for label, config in configs.items()
-        }
-    outcome = ScenarioResult(name=name, scheme=scheme)
-    for label, result in results.items():
-        outcome.rows[label] = result.summary.row()
-        assert result.pipelines is not None  # every scenario run is piped
-        outcome.pipelines[label] = result.pipelines.to_dict()
-    outcome.verdict = _verdict(outcome)
-    return outcome
+#: ``run_pipeline_scenario(name, *, scheme, seed, jobs)``: this family's
+#: :func:`repro.scenarios.run_scenario`.
+run_pipeline_scenario = partial(run_scenario, "pipelines")
 
 
 def _verdict(outcome: ScenarioResult) -> dict:
-    naive = outcome.pipelines["naive"]
-    aware = outcome.pipelines["pipeline-aware"]
+    naive = outcome.reports["naive"]
+    aware = outcome.reports["pipeline-aware"]
     naive_cost = outcome.rows["naive"]["cost_$"]
     aware_cost = outcome.rows["pipeline-aware"]["cost_$"]
     return {
@@ -243,3 +164,15 @@ def _verdict(outcome: ScenarioResult) -> dict:
         "equal_cost": naive_cost == aware_cost,
         "aware_rebudgets": aware["stats"]["rebudgets"],
     }
+
+
+FAMILY = ScenarioFamily(
+    command="pipelines",
+    help="run a multi-stage workflow scenario (chain, ensemble, "
+    "branchy), comparing naive vs pipeline-aware deadline splitting",
+    scenarios=SCENARIOS,
+    configs=scenario_configs,
+    report="pipelines",
+    verdict=_verdict,
+    describe_run=_describe_run,
+)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.serving.executor import executor_names
+from repro.wire import parse_payload
 
 #: Version stamp of the :meth:`ServeConfig.to_dict` wire format. Bump
 #: when a field changes meaning (not when one is merely added with a
@@ -122,23 +123,7 @@ class ServeConfig:
         payloads from a *newer* schema are refused rather than silently
         misread.
         """
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"serve payload must be a dict, got {type(payload).__name__}"
-            )
-        data = dict(payload)
-        version = data.pop("version", SERVE_SCHEMA_VERSION)
-        if version != SERVE_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported serve schema version {version!r}; "
-                f"this build reads version {SERVE_SCHEMA_VERSION}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown serve field(s): {', '.join(sorted(unknown))}"
-            )
+        data = parse_payload(cls, payload, "serve", version=SERVE_SCHEMA_VERSION)
         if "experiment" in data:
             data["experiment"] = ExperimentConfig.from_dict(data["experiment"])
         return cls(**data)

@@ -19,13 +19,13 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, fields
 
-from repro.errors import ConfigurationError
 from repro.experiments.runner import build_specs, run_scheme
 from repro.metrics.latency import p50, p99
 from repro.metrics.slo import slo_compliance
 from repro.metrics.summary import partition_window
 from repro.serving.config import ServeConfig
 from repro.serving.runtime import LiveRun
+from repro.wire import parse_payload
 
 #: Version stamp of the :meth:`ReplayReport.to_dict` wire format.
 REPLAY_SCHEMA_VERSION = 1
@@ -81,25 +81,13 @@ class ReplayReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "ReplayReport":
         """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"report payload must be a dict, got {type(payload).__name__}"
+        return cls(
+            **parse_payload(
+                cls, payload, "report",
+                version=REPLAY_SCHEMA_VERSION,
+                derived=("agrees",),
             )
-        data = dict(payload)
-        version = data.pop("version", REPLAY_SCHEMA_VERSION)
-        if version != REPLAY_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported report schema version {version!r}; "
-                f"this build reads version {REPLAY_SCHEMA_VERSION}"
-            )
-        data.pop("agrees", None)  # derived, not stored
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown report field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
+        )
 
     def summary_lines(self) -> list[str]:
         """Human-readable report body for the CLI."""

@@ -13,10 +13,6 @@ Public surface:
 - :class:`~repro.simulation.processes.PeriodicProcess` /
   ``OneShotTimer`` — recurring daemons and restartable timers.
 - :class:`~repro.simulation.rng.RngRegistry` — named seeded RNG streams.
-- :class:`~repro.simulation.lanes.EventLane` — vectorised chunk dispatch
-  for homogeneous steady-state timers (the hyperscale hot path).
-- :class:`~repro.simulation.pool.ObjectPool` / ``ArrayPool`` — freelists
-  for allocation-heavy hot paths.
 """
 
 from repro.simulation.clock import Clock, TimerHandle, Timers, ensure_clock
@@ -27,21 +23,16 @@ from repro.simulation.events import (
     Event,
     EventQueue,
 )
-from repro.simulation.lanes import EventLane
-from repro.simulation.pool import ArrayPool, ObjectPool
 from repro.simulation.processes import OneShotTimer, PeriodicProcess
 from repro.simulation.rng import RngRegistry, derive_seed
 from repro.simulation.simulator import Simulator
 from repro.simulation.wallclock import AsyncioClock, WallTimer
 
 __all__ = [
-    "ArrayPool",
     "AsyncioClock",
     "Clock",
     "Event",
-    "EventLane",
     "EventQueue",
-    "ObjectPool",
     "OneShotTimer",
     "PRIORITY_EARLY",
     "PRIORITY_LATE",

@@ -10,11 +10,7 @@ paper's experiments.
 from __future__ import annotations
 
 import heapq
-import math
-import warnings
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.simulation.events import (
@@ -23,7 +19,6 @@ from repro.simulation.events import (
     EventQueue,
     validate_schedule_time,
 )
-from repro.simulation.lanes import EventLane, LaneHandler
 from repro.simulation.rng import RngRegistry
 
 #: Compact the event heap when this fraction of entries are tombstones.
@@ -57,7 +52,6 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self._events_processed = 0
         self._running = False
-        self._lanes: list[EventLane] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -71,22 +65,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events executed so far."""
         return self._events_processed
-
-    @property
-    def heap(self) -> list:
-        """Deprecated: the raw event heap is an implementation detail.
-
-        Direct heap pokes bypass tombstone accounting and the Clock
-        protocol; schedule through :meth:`schedule`/:meth:`at`/
-        :meth:`after` and cancel through :meth:`cancel` instead.
-        """
-        warnings.warn(
-            "Simulator.heap is deprecated; use the Clock protocol methods "
-            "(schedule/at/after/cancel) instead of poking the event heap",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.queue._heap
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -109,17 +87,9 @@ class Simulator:
         validate_schedule_time(self._now, time)
         return self.queue.schedule(time, callback, priority=priority, label=label)
 
-    def at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = PRIORITY_NORMAL,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` at absolute simulated ``time``."""
-        validate_schedule_time(self._now, time)
-        return self.queue.schedule(time, callback, priority=priority, label=label)
+    #: Schedule ``callback`` at absolute simulated ``time`` (the historical
+    #: spelling of :meth:`schedule`).
+    at = schedule
 
     def after(
         self,
@@ -140,49 +110,11 @@ class Simulator:
         """Cancel ``event`` if it is pending; no-op for ``None``/cancelled."""
         self.queue.cancel_if_pending(event)
 
-    def add_lane(
-        self,
-        times: Sequence[float] | np.ndarray,
-        handler: LaneHandler,
-        *,
-        label: str = "",
-    ) -> EventLane:
-        """Register a vectorised event lane (see :mod:`repro.simulation.lanes`).
-
-        ``times`` is a sorted array of firing times, all at or after the
-        current clock; ``handler`` receives each dispatched chunk as a
-        numpy view. Lane entries count toward :attr:`events_processed`
-        and interleave deterministically with heap events (heap wins
-        timestamp ties; between lanes, the earlier-registered wins).
-        """
-        lane = EventLane(times, handler, label=label)
-        if lane.times.size:
-            validate_schedule_time(self._now, float(lane.times[0]))
-        self._lanes.append(lane)
-        return lane
-
-    @property
-    def lanes(self) -> tuple[EventLane, ...]:
-        """Registered event lanes (read-only view)."""
-        return tuple(self._lanes)
-
-    def _lanes_pending(self) -> bool:
-        return any(lane.remaining for lane in self._lanes)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next event. Return ``False`` if the queue is empty.
-
-        ``step`` is heap-only: single-stepping would defeat the chunked
-        dispatch event lanes exist for, so it refuses to run while a lane
-        still has entries (use :meth:`run`).
-        """
-        if self._lanes_pending():
-            raise SimulationError(
-                "step() does not interleave event lanes; use run()"
-            )
+        """Execute the next event. Return ``False`` if the queue is empty."""
         if not self.queue:
             return False
         event = self.queue.pop()
@@ -213,16 +145,7 @@ class Simulator:
         the tombstone-compaction ratio test runs every
         :data:`_COMPACT_CHECK_EVERY` events instead of every event. The
         event order is exactly what :meth:`step` would produce.
-
-        When event lanes are registered and still hold entries, dispatch
-        goes through the lane-aware loop instead (same clock and ordering
-        semantics, chunked lane delivery); the default heap-only loop
-        below is untouched — and therefore bit-identical — for every run
-        that never registers a lane.
         """
-        if self._lanes_pending():
-            self._run_with_lanes(until, max_events)
-            return
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
@@ -265,112 +188,6 @@ class Simulator:
                     # binding stays valid — here and when a callback
                     # above compacts mid-run (see EventQueue.compact).
                     queue.compact()
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-
-    def _run_with_lanes(
-        self, until: float | None, max_events: int | None
-    ) -> None:
-        """Drain heap events and lane chunks in merged time order.
-
-        Each iteration dispatches either ONE heap event or ONE lane chunk
-        (every lane entry strictly before the next heap event / other
-        lane's next entry, and not after ``until``). Heap events win
-        timestamp ties, so anything a lane handler schedules on the heap
-        interleaves exactly as it would have event-by-event; between
-        lanes, the earlier-registered lane wins ties. Lane entries count
-        individually toward ``events_processed`` and ``max_events``.
-        """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        queue = self.queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        check_mask = _COMPACT_CHECK_EVERY - 1
-        processed = 0
-        try:
-            while True:
-                while heap and heap[0][3].cancelled:
-                    heappop(heap)
-                heap_time = heap[0][0] if heap else math.inf
-                lane_index = -1
-                lane_time = math.inf
-                for index, candidate in enumerate(self._lanes):
-                    t = candidate.peek()
-                    if t < lane_time:
-                        lane_time = t
-                        lane_index = index
-                next_time = heap_time if heap_time <= lane_time else lane_time
-                if next_time == math.inf:
-                    break
-                if until is not None and next_time > until:
-                    break
-                if next_time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: event at {next_time} < now "
-                        f"{self._now}"
-                    )
-                if heap_time <= lane_time:
-                    # Heap event (winning ties against every lane).
-                    event = heappop(heap)[3]
-                    event.fired = True
-                    queue._live -= 1
-                    self._now = heap_time
-                    self._events_processed += 1
-                    event.callback()
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} "
-                            f"(runaway simulation?)"
-                        )
-                    if (
-                        not processed & check_mask
-                        and len(heap) >= _COMPACT_MIN_SIZE
-                        and queue.dead_fraction > _COMPACT_THRESHOLD
-                    ):
-                        queue.compact()
-                    continue
-                # Lane chunk: everything in this lane up to (exclusively)
-                # the next heap event and the other lanes' next entries —
-                # exclusive for earlier-registered lanes, inclusive for
-                # later ones, encoding the tie-break — capped at `until`.
-                lane = self._lanes[lane_index]
-                times = lane.times
-                stop = times.size
-                if heap_time != math.inf:
-                    stop = min(
-                        stop, int(np.searchsorted(times, heap_time, side="left"))
-                    )
-                for index, other in enumerate(self._lanes):
-                    if index == lane_index:
-                        continue
-                    bound = other.peek()
-                    if bound == math.inf:
-                        continue
-                    side = "left" if index < lane_index else "right"
-                    stop = min(
-                        stop, int(np.searchsorted(times, bound, side=side))
-                    )
-                if until is not None:
-                    stop = min(
-                        stop, int(np.searchsorted(times, until, side="right"))
-                    )
-                chunk = lane.take_until(stop)
-                # Non-empty by construction: the lane's head satisfied
-                # every bound above, or another branch would have run.
-                self._now = float(chunk[-1])
-                self._events_processed += chunk.size
-                lane.handler(chunk)
-                processed += chunk.size
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"(runaway simulation?)"
-                    )
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
+from repro.wire import parse_payload
 
 #: Version stamp of the tenancy wire format (:meth:`TenancySpec.to_dict`).
 TENANCY_SCHEMA_VERSION = 1
@@ -122,17 +123,7 @@ class Tenant:
     @classmethod
     def from_dict(cls, payload: dict) -> "Tenant":
         """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"tenant payload must be a dict, got {type(payload).__name__}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown tenant field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**payload)
+        return cls(**parse_payload(cls, payload, "tenant"))
 
 
 @dataclass(frozen=True)
@@ -195,13 +186,14 @@ class TenantSet:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TenantSet":
-        """Parse a :meth:`to_dict` payload."""
-        if not isinstance(payload, dict) or "tenants" not in payload:
+        """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
+        data = parse_payload(cls, payload, "tenant-set")
+        if "tenants" not in data:
             raise ConfigurationError(
                 "tenant-set payload must be a dict with a 'tenants' list"
             )
         return cls(
-            tenants=tuple(Tenant.from_dict(t) for t in payload["tenants"])
+            tenants=tuple(Tenant.from_dict(t) for t in data["tenants"])
         )
 
 
@@ -245,18 +237,8 @@ class TenantSurge:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TenantSurge":
-        """Parse a :meth:`to_dict` payload."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"surge payload must be a dict, got {type(payload).__name__}"
-            )
-        known = {"tenant_id", "start", "end", "multiplier"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown surge field(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(**payload)
+        """Parse a :meth:`to_dict` payload, rejecting unknown keys."""
+        return cls(**parse_payload(cls, payload, "surge"))
 
 
 @dataclass(frozen=True)
@@ -313,23 +295,9 @@ class TenancySpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "TenancySpec":
         """Parse a :meth:`to_dict` payload, refusing newer schemas."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"tenancy payload must be a dict, got {type(payload).__name__}"
-            )
-        data = dict(payload)
-        version = data.pop("version", TENANCY_SCHEMA_VERSION)
-        if version != TENANCY_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported tenancy schema version {version!r}; "
-                f"this build reads version {TENANCY_SCHEMA_VERSION}"
-            )
-        known = {"tenant_set", "policy", "admission", "surges"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown tenancy field(s): {', '.join(sorted(unknown))}"
-            )
+        data = parse_payload(
+            cls, payload, "tenancy", version=TENANCY_SCHEMA_VERSION
+        )
         if "tenant_set" not in data:
             raise ConfigurationError("tenancy payload needs a 'tenant_set'")
         return cls(

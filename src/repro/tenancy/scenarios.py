@@ -27,10 +27,11 @@ rejections while a steady tenant rides along untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+from repro.scenarios import RUN_SHAPE, ScenarioFamily, ScenarioResult, run_scenario
 from repro.tenancy.model import Tenant, TenantSet, TenantSurge, TenancySpec
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily to avoid a cycle
@@ -44,16 +45,6 @@ AGGRESSOR_MULTIPLE = 3.0
 
 #: The victim's comfortable solo operating point (fraction of capacity).
 VICTIM_SOLO_LOAD = 0.55
-
-#: Shared run shape: short enough for CI, long enough for stable tails.
-_BASE = dict(
-    trace="constant",
-    duration=60.0,
-    warmup=15.0,
-    drain=90.0,
-    n_nodes=2,
-)
-
 
 def _victim() -> Tenant:
     return Tenant(
@@ -95,7 +86,7 @@ def noisy_neighbour_configs(seed: int = 0) -> dict[str, ExperimentConfig]:
             policy="fifo",
             admission=False,
         ),
-        **_BASE,
+        **RUN_SHAPE,
     )
     mixed_load = VICTIM_SOLO_LOAD * (1.0 + AGGRESSOR_MULTIPLE)
     fifo = ExperimentConfig(
@@ -106,7 +97,7 @@ def noisy_neighbour_configs(seed: int = 0) -> dict[str, ExperimentConfig]:
             policy="fifo",
             admission=False,
         ),
-        **_BASE,
+        **RUN_SHAPE,
     )
     wfq = ExperimentConfig(
         seed=seed,
@@ -116,7 +107,7 @@ def noisy_neighbour_configs(seed: int = 0) -> dict[str, ExperimentConfig]:
             policy="wfq",
             admission=True,
         ),
-        **_BASE,
+        **RUN_SHAPE,
     )
     return {"solo": solo, "fifo": fifo, "wfq": wfq}
 
@@ -131,7 +122,7 @@ def flash_crowd_configs(seed: int = 0) -> dict[str, ExperimentConfig]:
             Tenant(tenant_id="burst", priority=1, weight=1.0, quota=24),
         )
     )
-    duration = _BASE["duration"]
+    duration = RUN_SHAPE["duration"]
     spec = TenancySpec(
         tenant_set=tenants,
         policy="wfq",
@@ -146,7 +137,7 @@ def flash_crowd_configs(seed: int = 0) -> dict[str, ExperimentConfig]:
         ),
     )
     config = ExperimentConfig(
-        seed=seed, offered_load=0.7, tenants=spec, **_BASE
+        seed=seed, offered_load=0.7, tenants=spec, **RUN_SHAPE
     )
     return {"flash-crowd": config}
 
@@ -170,7 +161,7 @@ def quota_exhaustion_configs(seed: int = 0) -> dict[str, ExperimentConfig]:
     )
     spec = TenancySpec(tenant_set=tenants, policy="wfq", admission=True)
     config = ExperimentConfig(
-        seed=seed, offered_load=1.2, tenants=spec, **_BASE
+        seed=seed, offered_load=1.2, tenants=spec, **RUN_SHAPE
     )
     return {"quota-exhaustion": config}
 
@@ -182,53 +173,25 @@ _BUILDERS = {
 }
 
 
-@dataclass
-class ScenarioResult:
-    """Outcome of one scenario: per-run rows, tenant reports, verdict."""
-
-    name: str
-    scheme: str
-    #: Run label → ``RunSummary.row()``.
-    rows: dict[str, dict] = field(default_factory=dict)
-    #: Run label → :meth:`~repro.metrics.tenancy.TenancyReport.to_dict`.
-    tenancy: dict[str, dict] = field(default_factory=dict)
-    #: Scenario-specific headline facts (attainment deltas, rejections).
-    verdict: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (CLI ``--json``, CI artifact)."""
-        return {
-            "scenario": self.name,
-            "scheme": self.scheme,
-            "rows": self.rows,
-            "tenancy": self.tenancy,
-            "verdict": self.verdict,
-        }
-
-    def describe(self) -> str:
-        """Multi-line text rendering for the CLI."""
-        lines = [f"scenario {self.name} (scheme={self.scheme})"]
-        for label, report in self.tenancy.items():
-            lines.append(f"  run {label}:")
-            for outcome in report["outcomes"]:
-                attainment = outcome["slo_attainment"]
-                shown = (
-                    f"{100.0 * attainment:5.1f}%"
-                    if attainment == attainment  # not NaN
-                    else "  n/a"
-                )
-                lines.append(
-                    f"    {outcome['tenant_id']:<10} slo={shown}  "
-                    f"served={outcome['requests']:>5}  "
-                    f"rejected={outcome['rejections']:>5}"
-                )
-            lines.append(
-                f"    fairness(Jain)={report['fairness_index']:.3f}  "
-                f"revenue={report['total_revenue']:.1f}"
-            )
-        for key, value in self.verdict.items():
-            lines.append(f"  {key}: {value}")
-        return "\n".join(lines)
+def _describe_run(label: str, report: dict) -> list[str]:
+    lines = [f"  run {label}:"]
+    for outcome in report["outcomes"]:
+        attainment = outcome["slo_attainment"]
+        shown = (
+            f"{100.0 * attainment:5.1f}%"
+            if attainment == attainment  # not NaN
+            else "  n/a"
+        )
+        lines.append(
+            f"    {outcome['tenant_id']:<10} slo={shown}  "
+            f"served={outcome['requests']:>5}  "
+            f"rejected={outcome['rejections']:>5}"
+        )
+    lines.append(
+        f"    fairness(Jain)={report['fairness_index']:.3f}  "
+        f"revenue={report['total_revenue']:.1f}"
+    )
+    return lines
 
 
 def scenario_configs(name: str, seed: int = 0) -> dict[str, ExperimentConfig]:
@@ -242,46 +205,13 @@ def scenario_configs(name: str, seed: int = 0) -> dict[str, ExperimentConfig]:
     return builder(seed)
 
 
-def run_tenancy_scenario(
-    name: str,
-    *,
-    scheme: str = "protean",
-    seed: int = 0,
-    jobs: int | None = None,
-) -> ScenarioResult:
-    """Execute scenario ``name`` and assemble its :class:`ScenarioResult`.
-
-    With ``jobs`` > 1 the scenario's runs fan out across processes via
-    :mod:`repro.parallel` — results are bit-identical to the serial path.
-    """
-    from repro.experiments.runner import run_scheme
-    from repro.parallel import RunRequest, execute_keyed, resolve_jobs
-
-    configs = scenario_configs(name, seed)
-    if resolve_jobs(jobs) > 1 and len(configs) > 1:
-        results = execute_keyed(
-            [
-                RunRequest(key=label, scheme=scheme, config=config)
-                for label, config in configs.items()
-            ],
-            jobs=jobs,
-        )
-    else:
-        results = {
-            label: run_scheme(scheme, config)
-            for label, config in configs.items()
-        }
-    outcome = ScenarioResult(name=name, scheme=scheme)
-    for label, result in results.items():
-        outcome.rows[label] = result.summary.row()
-        assert result.tenancy is not None  # every scenario run is tenanted
-        outcome.tenancy[label] = result.tenancy.to_dict()
-    outcome.verdict = _verdict(name, outcome)
-    return outcome
+#: ``run_tenancy_scenario(name, *, scheme, seed, jobs)``: this family's
+#: :func:`repro.scenarios.run_scenario`.
+run_tenancy_scenario = partial(run_scenario, "tenants")
 
 
 def _attainment(outcome: ScenarioResult, run: str, tenant: str) -> float:
-    for row in outcome.tenancy[run]["outcomes"]:
+    for row in outcome.reports[run]["outcomes"]:
         if row["tenant_id"] == tenant:
             return row["slo_attainment"]
     raise ConfigurationError(
@@ -289,7 +219,8 @@ def _attainment(outcome: ScenarioResult, run: str, tenant: str) -> float:
     )
 
 
-def _verdict(name: str, outcome: ScenarioResult) -> dict:
+def _verdict(outcome: ScenarioResult) -> dict:
+    name = outcome.name
     if name == "noisy-neighbour":
         solo = _attainment(outcome, "solo", "victim")
         fifo = _attainment(outcome, "fifo", "victim")
@@ -302,7 +233,7 @@ def _verdict(name: str, outcome: ScenarioResult) -> dict:
             "wfq_gap_to_solo_points": 100.0 * (solo - wfq),
         }
     if name == "flash-crowd":
-        report = outcome.tenancy["flash-crowd"]
+        report = outcome.reports["flash-crowd"]
         return {
             "steady_attainment": _attainment(
                 outcome, "flash-crowd", "steady"
@@ -311,7 +242,7 @@ def _verdict(name: str, outcome: ScenarioResult) -> dict:
             "fairness_index": report["fairness_index"],
         }
     if name == "quota-exhaustion":
-        report = outcome.tenancy["quota-exhaustion"]
+        report = outcome.reports["quota-exhaustion"]
         rejections = {
             row["tenant_id"]: row["rejections"]
             for row in report["outcomes"]
@@ -324,3 +255,15 @@ def _verdict(name: str, outcome: ScenarioResult) -> dict:
             ),
         }
     return {}
+
+
+FAMILY = ScenarioFamily(
+    command="tenants",
+    help="run a multi-tenant scenario (noisy-neighbour, flash-crowd, "
+    "quota-exhaustion)",
+    scenarios=SCENARIOS,
+    configs=scenario_configs,
+    report="tenancy",
+    verdict=_verdict,
+    describe_run=_describe_run,
+)

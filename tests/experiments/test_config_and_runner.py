@@ -9,7 +9,7 @@ from repro.experiments import (
     ExperimentConfig,
     build_oracle_plan,
     build_specs,
-    make_scheme,
+    get_scheme,
     run_comparison,
     run_scheme,
     scheme_names,
@@ -130,15 +130,15 @@ class TestOraclePlan:
 class TestSchemeFactory:
     def test_known_names(self):
         for name in ["protean", "infless", "molecule", "naive", "gpulet"]:
-            assert make_scheme(name) is not make_scheme(name)  # fresh each time
+            assert get_scheme(name) is not get_scheme(name)  # fresh each time
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError):
-            make_scheme("magic")
+            get_scheme("magic")
 
     def test_oracle_requires_plan(self):
         with pytest.raises(ConfigurationError):
-            make_scheme("oracle")
+            get_scheme("oracle")
         assert "oracle" in scheme_names()
 
 

@@ -8,7 +8,6 @@ from repro.experiments import (
     available_schemes,
     canonical_name,
     get_scheme,
-    make_scheme,
     register_scheme,
     scheme_names,
 )
@@ -129,7 +128,3 @@ def test_duplicate_registration_rejected(clean_registry):
 def test_replace_overrides_existing(clean_registry):
     register_scheme("protean", MyScheme, replace=True)
     assert isinstance(get_scheme("protean"), MyScheme)
-
-
-def test_make_scheme_is_backcompat_alias():
-    assert make_scheme is get_scheme

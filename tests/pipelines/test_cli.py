@@ -11,10 +11,10 @@ import json
 
 import pytest
 
-import repro.pipelines.scenarios as scenarios_mod
+import repro.scenarios as scenarios_mod
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.pipelines import ScenarioResult
+from repro.scenarios import ScenarioResult
 
 
 @pytest.fixture
@@ -22,9 +22,11 @@ def fake_scenario(monkeypatch):
     """Replace the heavy scenario run with a canned result; record calls."""
     calls = []
 
-    def fake(name, *, scheme="protean", seed=0, jobs=None):
-        calls.append({"name": name, "scheme": scheme, "seed": seed, "jobs": jobs})
-        result = ScenarioResult(name=name, scheme=scheme)
+    def fake(family, name, *, scheme="protean", seed=0, jobs=None):
+        calls.append(
+            {"family": family, "name": name, "scheme": scheme, "seed": seed, "jobs": jobs}
+        )
+        result = ScenarioResult(name=name, scheme=scheme, family=family)
         result.rows = {"naive": {"cost_$": 1.0}, "pipeline-aware": {"cost_$": 1.0}}
         result.verdict = {
             "naive_e2e_attainment": 0.9,
@@ -34,18 +36,37 @@ def fake_scenario(monkeypatch):
         }
         return result
 
-    monkeypatch.setattr(scenarios_mod, "run_pipeline_scenario", fake)
+    monkeypatch.setattr(scenarios_mod, "run_scenario", fake)
     return calls
 
 
-def test_pipelines_text_output(fake_scenario, capsys):
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_pipelines_text_output(fake_scenario, capsys, monkeypatch, cpus):
+    # Without --jobs the CLI fans out over every core; pin the core count
+    # (and clear REPRO_JOBS, which outranks it) so the host does not matter.
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setattr("repro.cli.cpu_jobs", lambda: cpus)
     assert main(["pipelines", "chain"]) == 0
     output = capsys.readouterr().out
     assert "scenario chain" in output
     assert "attainment_gap_points: 5.0" in output
     assert fake_scenario == [
-        {"name": "chain", "scheme": "protean", "seed": 0, "jobs": 1}
+        {
+            "family": "pipelines",
+            "name": "chain",
+            "scheme": "protean",
+            "seed": 0,
+            "jobs": cpus,
+        }
     ]
+
+
+def test_tenants_shares_the_scenario_handler(fake_scenario, capsys):
+    assert main(["tenants", "quota-exhaustion", "--jobs", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"] == "quota-exhaustion"
+    assert payload["tenancy"] == {}
+    assert fake_scenario[0]["family"] == "tenants"
 
 
 def test_pipelines_json_to_stdout(fake_scenario, capsys):
@@ -75,9 +96,9 @@ def test_pipelines_rejects_unknown_scenario():
 
 
 def test_pipelines_configuration_error_exits_2(monkeypatch, capsys):
-    def explode(name, **kwargs):
+    def explode(family, name, **kwargs):
         raise ConfigurationError("broken pipeline config")
 
-    monkeypatch.setattr(scenarios_mod, "run_pipeline_scenario", explode)
+    monkeypatch.setattr(scenarios_mod, "run_scenario", explode)
     assert main(["pipelines", "chain"]) == 2
     assert "broken pipeline config" in capsys.readouterr().err

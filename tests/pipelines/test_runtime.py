@@ -128,7 +128,7 @@ class TestPolicies:
 
 class TestRuntimeGuards:
     def test_double_arm_refused(self):
-        from repro.experiments.schemes import make_scheme
+        from repro.experiments.schemes import get_scheme
         from repro.pipelines import PipelineRuntime
         from repro.serverless.platform import PlatformConfig, ServerlessPlatform
         from repro.simulation import Simulator
@@ -137,7 +137,7 @@ class TestRuntimeGuards:
         reset_run_ids()
         sim = Simulator()
         platform = ServerlessPlatform(
-            sim, make_scheme("protean"), PlatformConfig(n_nodes=1)
+            sim, get_scheme("protean"), PlatformConfig(n_nodes=1)
         )
         runtime = PipelineRuntime(sim, platform, CHAIN, scale=8 / 128)
         runtime.arm()

@@ -38,12 +38,6 @@ class TestProtocolConformance:
         sim.run()
         assert fired == [1.0, 2.0]
 
-    def test_simulator_heap_access_is_deprecated(self):
-        sim = Simulator(seed=1)
-        with pytest.warns(DeprecationWarning, match="Clock protocol"):
-            heap = sim.heap
-        assert heap is sim.queue._heap
-
 
 class TestAsyncioClock:
     def test_speedup_must_be_positive(self):
