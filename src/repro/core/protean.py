@@ -43,6 +43,15 @@ class ProteanScheduler(NodeScheduler):
         self._on_quiescent = on_quiescent
         self.enable_reordering = enable_reordering
         self.balance_best_effort = balance_best_effort
+        #: This round's BE_mem, computed on its first strict placement.
+        self._round_be_mem: Optional[float] = None
+
+    def dispatch(self) -> None:
+        # Algorithm 1 takes one BE_mem figure per scheduling round. The
+        # queue's order and contents are fixed for the whole round (it is
+        # reassigned only when the round ends), so the figure is too.
+        self._round_be_mem = None
+        super().dispatch()
 
     def _order_queue(self, queue: list[RequestBatch]) -> None:
         if self.enable_reordering:
@@ -62,7 +71,12 @@ class ProteanScheduler(NodeScheduler):
         gpu = self.node.gpu
         if not gpu.available or not gpu.slices:
             return None  # mid-reconfiguration
-        be_mem = best_effort_queued_memory(self.queue)
+        if batch.strict:
+            be_mem = self._round_be_mem
+            if be_mem is None:
+                be_mem = self._round_be_mem = best_effort_queued_memory(self.queue)
+        else:
+            be_mem = 0.0  # BE placement does not read BE_mem
         chosen = distribute_batch(
             batch,
             gpu.slices,

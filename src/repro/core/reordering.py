@@ -7,7 +7,10 @@ Within the strict class, batches are served earliest-deadline-first;
 within the BE class, FIFO by batch creation time.
 
 The paper reports a total reordering overhead below 1 ms; here it is a
-sort over the (small) per-node queue.
+sort over the per-node queue once per dispatch round. The queue is not
+always small: under a spot-eviction backlog (the ``twitter-spot-backlog``
+benchmark workload) it holds ~176 batches on average, so the scheduler
+also takes ``BE_mem`` once per round rather than once per placement.
 """
 
 from __future__ import annotations

@@ -78,6 +78,7 @@ class RequestBatch:
         "ready_at",
         "cold_start_seconds",
         "resubmissions",
+        "_work",
     )
 
     def __init__(
@@ -97,6 +98,7 @@ class RequestBatch:
         self.ready_at: float | None = None
         self.cold_start_seconds: float = 0.0
         self.resubmissions: int = 0
+        self._work: float | None = None
 
     def add(self, request: Request) -> None:
         """Append a request; model/strictness/tenant must match the batch.
@@ -116,6 +118,7 @@ class RequestBatch:
                 f"tenant={self.tenant!r})"
             )
         self.requests.append(request)
+        self._work = None
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -140,10 +143,17 @@ class RequestBatch:
 
         GPU batch latency is roughly linear in occupancy above a fixed
         overhead: ``solo × (α + (1−α)·fill)`` with α the fixed fraction.
-        A full batch costs exactly the profiled solo latency.
+        A full batch costs exactly the profiled solo latency. Cached
+        until the next :meth:`add`: load balancing reads it on every
+        routing decision.
         """
-        alpha = self.FIXED_OVERHEAD_FRACTION
-        return self.model.solo_latency_7g * (alpha + (1.0 - alpha) * self.fill)
+        work = self._work
+        if work is None:
+            alpha = self.FIXED_OVERHEAD_FRACTION
+            work = self._work = self.model.solo_latency_7g * (
+                alpha + (1.0 - alpha) * self.fill
+            )
+        return work
 
     @property
     def earliest_deadline(self) -> float | None:

@@ -213,7 +213,9 @@ class NodeScheduler(ABC):
         booting = sum(b.work for b in self._awaiting_container.values())
         running = 0.0
         for gpu_slice in self.node.gpu.slices:
-            for job in gpu_slice.running_jobs + gpu_slice.pending_jobs:
+            for job in gpu_slice.running_jobs:
+                running += job.work
+            for job in gpu_slice.pending_jobs:
                 running += job.work
         return queued + booting + running
 

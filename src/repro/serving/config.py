@@ -72,6 +72,19 @@ class ServeConfig:
                 "experiment must be an ExperimentConfig; "
                 f"got {type(self.experiment).__name__}"
             )
+        # Experiment features LiveRun.start does not arm: reject them
+        # rather than serve without them.
+        experiment = self.experiment
+        for name, armed in (
+            ("audit", experiment.audit),
+            ("pipelines", experiment.pipelines is not None),
+            ("fault_plan", bool(experiment.fault_plan)),
+            ("streaming_metrics", experiment.streaming_metrics),
+        ):
+            if armed:
+                raise ConfigurationError(
+                    f"live serving does not support experiment.{name}"
+                )
         if not 0 <= self.port <= 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
         if self.speedup <= 0:

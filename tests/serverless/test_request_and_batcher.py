@@ -65,6 +65,25 @@ class TestRequestBatch:
             SMALL.solo_latency_7g * (alpha + (1 - alpha) * 0.5)
         )
 
+    def test_cached_work_follows_add(self):
+        # The cache is read before and after every add: a stale value
+        # would show as the previous fill's work.
+        alpha = RequestBatch.FIXED_OVERHEAD_FRACTION
+        batch = RequestBatch(SMALL, strict=True, created_at=0.0)
+        for n in range(1, SMALL.batch_size + 1):
+            before = batch.work
+            batch.add(make_request())
+            assert batch.work != before
+            fill = min(1.0, n / SMALL.batch_size)
+            # Exact, not approximate: the cache stores the formula's float.
+            assert batch.work == SMALL.solo_latency_7g * (alpha + (1.0 - alpha) * fill)
+
+    def test_slots_reject_unknown_attributes(self):
+        batch = RequestBatch(SMALL, strict=True, created_at=0.0)
+        with pytest.raises(AttributeError):
+            batch.work_cache = 1.0
+        assert not hasattr(batch, "__dict__")
+
     def test_earliest_deadline(self):
         batch = RequestBatch(SMALL, strict=True, created_at=0.0)
         batch.add(make_request(arrival=2.0))

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig
+from repro.faults import EMPTY_PLAN, FaultKind, FaultPlan, FaultSpec
+from repro.pipelines.scenarios import chain_pipeline
 from repro.serving import (
     SERVE_PRESETS,
     SERVE_SCHEMA_VERSION,
@@ -39,6 +41,26 @@ class TestValidation:
             ServeConfig(attainment_tolerance=1.5)
         with pytest.raises(ConfigurationError):
             ServeConfig(p99_tolerance_abs=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("audit", True),
+            ("pipelines", chain_pipeline()),
+            ("fault_plan", FaultPlan((FaultSpec(FaultKind.NODE_CRASH, at=1.0),))),
+            ("streaming_metrics", True),
+        ],
+    )
+    def test_unarmed_experiment_field_rejected(self, field, value):
+        # LiveRun.start arms none of these; accepting them would serve
+        # without the audit, pipeline, faults or bounded metrics asked for.
+        experiment = ExperimentConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=f"experiment.{field}"):
+            ServeConfig(experiment=experiment)
+
+    def test_empty_fault_plan_accepted(self):
+        # An empty plan is bit-identical to no plan: nothing is dropped.
+        ServeConfig(experiment=ExperimentConfig(fault_plan=EMPTY_PLAN))
 
     def test_misconfig_is_also_a_value_error(self):
         # ConfigurationError subclasses ValueError (the repo-wide
@@ -88,6 +110,9 @@ class TestPresets:
         for name in SERVE_PRESETS:
             config = serve_preset(name)
             assert isinstance(config, ServeConfig)
+            # Every preset (the `serve --replay` targets) stays valid
+            # under the unarmed-field check.
+            assert ServeConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError, match="preset"):
