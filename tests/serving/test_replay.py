@@ -58,6 +58,48 @@ class TestSimVsLiveAgreement:
         assert report.agrees
 
 
+class TestGroupedArrivalsLive:
+    def test_duplicate_stamps_admitted_once_in_order(self, monkeypatch):
+        # The smoke trace is batch-aligned, so requests share arrival
+        # stamps and the platform admits each instant from one clock
+        # event. On the wall clock that event never splits; every spec
+        # must still be admitted exactly once, in trace order, on both
+        # the live and the simulated side of the replay.
+        from repro.experiments.runner import build_specs
+        from repro.serverless.dispatcher import Gateway
+        from repro.simulation import AsyncioClock
+
+        config = _smoke(50.0)
+        specs = build_specs(config.experiment)
+        assert len({s.arrival for s in specs}) < len(specs)
+        admitted = {"live": [], "sim": []}
+        admit = Gateway.admit
+
+        def recording(self, request):
+            side = "live" if isinstance(self.sim, AsyncioClock) else "sim"
+            admitted[side].append(
+                (request.arrival, request.model.name, request.strict,
+                 request.deadline)
+            )
+            admit(self, request)
+
+        monkeypatch.setattr(Gateway, "admit", recording)
+        report = replay(config=config)
+        expected = [
+            (s.arrival, s.model.name, s.strict, s.slo_deadline)
+            for s in sorted(specs, key=lambda s: s.arrival)
+        ]
+        assert admitted["live"] == expected
+        assert admitted["sim"] == expected
+        # The report reconciles with the simulated run of the same specs.
+        assert report.drained
+        assert report.executor_incomplete == 0
+        assert report.injected == report.admitted == len(specs)
+        assert report.completed == len(specs)
+        assert report.rejected == 0
+        assert report.live_strict_requests == report.sim_strict_requests
+
+
 @pytest.fixture(scope="module")
 def smoke_report():
     return replay(config=_smoke(50.0))

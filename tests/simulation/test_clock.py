@@ -26,6 +26,17 @@ class TestProtocolConformance:
         assert isinstance(clock, Clock)
         assert ensure_clock(clock) is clock
 
+    def test_asyncio_clock_never_reports_due_callbacks(self):
+        # Wall instants never tie: a grouped callback may always go on.
+        async def body():
+            clock = AsyncioClock().start()
+            clock.after(0.0, lambda: None)
+            answer = clock.due_now()
+            clock.shutdown()
+            return answer
+
+        assert asyncio.run(body()) is False
+
     def test_non_clock_rejected_with_typed_error(self):
         with pytest.raises(ConfigurationError, match="Clock protocol"):
             ensure_clock(object())
