@@ -135,6 +135,16 @@ class EventQueue:
         self._drop_dead()
         return self._heap[0][0]
 
+    def head_key(self) -> tuple[float, int] | None:
+        """``(time, priority)`` of the next live event; ``None`` if empty.
+
+        Drops cancelled entries off the top of the heap on the way.
+        """
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][:2] if heap else None
+
     def pop(self) -> Event:
         """Remove and return the next live event.
 
@@ -170,10 +180,7 @@ class EventQueue:
         return 1.0 - self._live / len(self._heap)
 
     def _drop_dead(self) -> None:
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
+        if self.head_key() is None:
             raise IndexError("pop from empty EventQueue")
 
 

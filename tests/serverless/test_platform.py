@@ -1,11 +1,14 @@
 """Unit tests for the ServerlessPlatform wiring and node lifecycle."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.pricing import VMTier
 from repro.cluster.vm import VMState
 from repro.core.protean import ProteanScheme
 from repro.errors import ConfigurationError
+from repro.metrics.records import RequestRecord
 from repro.serverless.platform import PlatformConfig, ServerlessPlatform
 from repro.serverless.request import Request
 from repro.simulation import Simulator
@@ -78,6 +81,15 @@ class TestInjectAndServe:
             assert sum(record.components().values()) == pytest.approx(
                 record.latency
             )
+
+    def test_record_field_order_matches_positional_construction(self):
+        # record_batch_completion builds RequestRecord positionally; a
+        # reordered or inserted field would land values in the wrong slot.
+        assert [field.name for field in dataclasses.fields(RequestRecord)] == [
+            "model", "strict", "arrival", "completion", "deadline",
+            "batch_wait", "cold_start", "queue_delay", "exec_min",
+            "deficiency", "interference", "tenant", "workflow", "stage",
+        ]
 
     def test_empty_injection_is_fine(self):
         sim = Simulator()

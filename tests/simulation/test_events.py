@@ -82,6 +82,17 @@ def test_peek_time_skips_cancelled_head():
     assert queue.peek_time() == 5.0
 
 
+def test_head_key_skips_cancelled_head():
+    queue = EventQueue()
+    assert queue.head_key() is None
+    head = queue.schedule(1.0, lambda: None)
+    queue.schedule(5.0, lambda: None, priority=PRIORITY_LATE)
+    assert queue.head_key() == (1.0, head.priority)
+    queue.cancel(head)
+    assert queue.head_key() == (5.0, PRIORITY_LATE)
+    assert len(queue) == 1
+
+
 def test_compact_removes_tombstones():
     queue = EventQueue()
     events = [queue.schedule(float(i), lambda: None) for i in range(10)]
